@@ -3,7 +3,7 @@
 Runs the same saturation sweep ``python -m repro loadtest`` exposes —
 real TCP sockets, concurrent clients, a fresh server per point — on the
 TV-news domain (model-free raw units, so the timer sees the serving
-stack: framing, admission, batch coalescing, the service fan-out).
+stack: framing, admission, batch coalescing, the service batch ingest).
 
 Asserted, per point: the no-silent-drops ledger holds exactly
 (offered == accepted + rejected; completed + failed == accepted), every

@@ -8,12 +8,14 @@ rather than detector inference):
 
 - **solo**: N separate single-stream services, each ingesting its feed
   end to end (the per-stream baseline);
-- **interleaved**: one service, round-robin ``ingest_batch`` with the
-  thread fan-out (the deployment path).
+- **interleaved**: one service, round-robin ``ingest_batch`` — each
+  batch ingests its streams one after another, in order (the deployment
+  path the network server drives).
 
 Asserted: per-stream reports from the interleaved run equal the solo
 runs bit-for-bit, and interleaved throughput stays within 2× of the solo
-aggregate (fan-out overhead must not swamp serving). The
+aggregate (batch grouping, LRU touches and fire dispatch must not swamp
+serving). The
 ``SERVICE_THROUGHPUT`` line is machine-readable for the nightly CI job
 summary.
 """
@@ -25,7 +27,7 @@ import pytest
 
 from conftest import run_once
 
-from repro.serve import MonitorService, ServiceConfig
+from repro.serve import MonitorService
 
 pytestmark = pytest.mark.slow
 
@@ -57,7 +59,7 @@ def run_comparison() -> dict:
         solo_reports[stream_id] = service.report(stream_id)
     solo_elapsed = time.perf_counter() - started
 
-    service = MonitorService("tvnews", config=ServiceConfig(parallel=True))
+    service = MonitorService("tvnews")
     started = time.perf_counter()
     for round_index in range(N_RAW_PER_STREAM):
         service.ingest_batch(
@@ -90,8 +92,8 @@ def test_service_throughput(benchmark):
         f"interleaved={results['interleaved']:,.0f} items/s "
         f"({ratio:.2f}x solo)"
     )
-    # Interleaving must not collapse under fan-out overhead; parallel
-    # speedups are hardware-dependent, so only the floor is asserted.
+    # Both paths do the same per-stream work on one thread, so the ratio
+    # sits near 1x; only the floor is asserted, as timings are host-noisy.
     assert ratio >= 0.5, (
         f"interleaved multi-stream ingest is {ratio:.2f}x the solo baseline "
         "(need ≥ 0.5x)"

@@ -1,10 +1,31 @@
-"""Legacy setup shim.
+"""Package metadata for ``repro``.
 
-The primary build configuration lives in ``pyproject.toml``; this file
-exists so editable installs work in offline environments that lack the
-``wheel`` package (``pip install -e . --no-use-pep517``).
+Sources live under ``src/``. The version is read from
+``src/repro/__init__.py`` (``__version__``) without importing the
+package, so building needs no runtime dependency. Editable installs work
+offline without the ``wheel`` package via
+``pip install -e . --no-use-pep517``.
 """
 
-from setuptools import setup
+import os
+import re
 
-setup()
+from setuptools import find_packages, setup
+
+
+def read_version() -> str:
+    path = os.path.join(os.path.dirname(__file__), "src", "repro", "__init__.py")
+    with open(path, encoding="utf-8") as handle:
+        match = re.search(r'^__version__ = "([^"]+)"', handle.read(), re.MULTILINE)
+    if match is None:
+        raise RuntimeError(f"no __version__ in {path}")
+    return match.group(1)
+
+
+setup(
+    name="repro",
+    version=read_version(),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

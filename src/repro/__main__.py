@@ -400,8 +400,8 @@ def _cmd_stream(args) -> int:
     """Serve ``--streams`` interleaved monitored streams of one domain.
 
     Each stream gets its own seeded world; every round ingests one raw
-    unit per stream through :meth:`MonitorService.ingest_batch` (thread
-    fan-out unless ``--serial``). With ``--snapshot PATH``: an existing
+    unit per stream through :meth:`MonitorService.ingest_batch`, stream
+    by stream in order. With ``--snapshot PATH``: an existing
     file is restored first (the fleet resumes where it checkpointed —
     each stream's world is fast-forwarded by replaying the units already
     consumed), and the final state is written back to PATH. The replay
@@ -413,7 +413,7 @@ def _cmd_stream(args) -> int:
 
     from repro.core.seeding import derive_seed
     from repro.domains.registry import domain_names
-    from repro.serve import MonitorService, ServiceConfig
+    from repro.serve import MonitorService
     from repro.serve.snapshot import load_snapshot_payload, save_service_snapshot
 
     if args.domain not in domain_names():
@@ -428,11 +428,7 @@ def _cmd_stream(args) -> int:
 
     suite = _resolve_suite(args.suite) if args.suite else None
     try:
-        service = MonitorService(
-            args.domain,
-            config=ServiceConfig(parallel=not args.serial),
-            suite=suite,
-        )
+        service = MonitorService(args.domain, suite=suite)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     seed = args.seed if args.seed is not None else 0
@@ -530,10 +526,9 @@ def _cmd_stream(args) -> int:
             )
         )
     else:
-        mode = "serial" if args.serial else "interleaved, thread fan-out"
         print(
             f"[{args.domain}] {n_streams} stream(s) × {args.items} raw unit(s)"
-            f" this run (seed {seed}, {mode})"
+            f" this run (seed {seed}, interleaved)"
             + (" — resumed from snapshot" if resumed else "")
         )
         print(fleet.format_table())
@@ -570,7 +565,7 @@ def _cmd_serve(args) -> int:
     import signal
 
     from repro.domains.registry import domain_names
-    from repro.serve import MonitorServer, MonitorService, ServerConfig, ServiceConfig
+    from repro.serve import MonitorServer, MonitorService, ServerConfig
     from repro.serve.snapshot import load_snapshot_payload, save_service_snapshot
     from repro.utils.io import atomic_write_json
 
@@ -581,11 +576,7 @@ def _cmd_serve(args) -> int:
         )
     suite = _resolve_suite(args.suite) if args.suite else None
     try:
-        service = MonitorService(
-            args.domain,
-            config=ServiceConfig(parallel=not args.serial),
-            suite=suite,
-        )
+        service = MonitorService(args.domain, suite=suite)
         config = ServerConfig(
             host=args.host,
             port=args.port,
@@ -735,7 +726,6 @@ def _cmd_fleet(args) -> int:
         max_batch=args.max_batch,
         max_delay=args.max_delay,
         max_pending=args.max_pending,
-        serial=args.serial,
     )
     try:
         specs = manager.start()
@@ -1083,8 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(a domain name or a suite JSON file; pinned by --snapshot on resume)")
     p_stream.add_argument("--snapshot", default=None, metavar="PATH",
                           help="checkpoint file: restored first if it exists, written on exit")
-    p_stream.add_argument("--serial", action="store_true",
-                          help="disable the ingest_batch thread fan-out")
     p_stream.add_argument("--json", action="store_true", help="machine-readable output")
     p_stream.set_defaults(fn=_cmd_stream)
 
@@ -1110,8 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "written on shutdown (Ctrl-C)")
     p_serve.add_argument("--ready-file", default=None, metavar="PATH",
                          help="write {host, port, domain, pid} JSON once listening")
-    p_serve.add_argument("--serial", action="store_true",
-                         help="disable the ingest_batch thread fan-out")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_load = sub.add_parser(
@@ -1178,8 +1164,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-shard server knob: batch coalescing window (s)")
     p_fleet.add_argument("--max-pending", type=int, default=1024,
                          help="per-shard server knob: admitted-unit bound")
-    p_fleet.add_argument("--serial", action="store_true",
-                         help="disable the per-shard ingest_batch thread fan-out")
     p_fleet.set_defaults(fn=_cmd_fleet)
 
     p_improve = sub.add_parser(

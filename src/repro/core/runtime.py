@@ -134,9 +134,6 @@ class OMG:
         so their online severities match the offline monitor exactly.
     engine:
         ``"streaming"`` (default) or ``"legacy"``; see :data:`ENGINES`.
-    max_workers:
-        Thread-pool width for ``observe_batch(..., parallel=True)``;
-        ``None`` lets the executor pick.
 
     Examples
     --------
@@ -155,7 +152,6 @@ class OMG:
         *,
         window_size: int = 64,
         engine: str = "streaming",
-        max_workers: "int | None" = None,
     ) -> None:
         if window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {window_size}")
@@ -171,7 +167,7 @@ class OMG:
         # The engine shares OMG's history deque as its recent-item window,
         # so observed items are retained once, not twice.
         self._streaming = StreamingEngine(
-            self.database, window_size, max_workers=max_workers, recent=self._history
+            self.database, window_size, recent=self._history
         )
 
     # ------------------------------------------------------------------
@@ -396,7 +392,6 @@ class OMG:
         outputs_per_item: list,
         *,
         timestamps=None,
-        parallel: bool = False,
     ) -> MonitoringReport:
         """Ingest a chunk of invocations; return the chunk's report.
 
@@ -404,9 +399,8 @@ class OMG:
         (rows in chunk order) with severities as of the end of the chunk,
         so within-chunk retroactive revisions are already folded in.
         ``report.records`` holds the fresh fire records, which may also
-        reference pre-chunk items. With ``parallel=True`` independent
-        assertions consume the chunk on separate threads (results are
-        bit-identical to the serial path).
+        reference pre-chunk items. Fires equal those of feeding the same
+        items one by one through :meth:`observe`.
 
         Only available on the streaming engine.
         """
@@ -425,7 +419,7 @@ class OMG:
             )
             for i in range(n)
         ]
-        fresh = self._streaming.ingest_batch(items, parallel=parallel)
+        fresh = self._streaming.ingest_batch(items)
         self._dispatch(fresh)
         start = items[0].index if items else self._next_index
         names, chunk = self._streaming.chunk_matrix(start, self._next_index)
@@ -551,7 +545,7 @@ class OMG:
         self._streaming.set_state(snapshot["streaming"])
 
     @classmethod
-    def from_snapshot(cls, snapshot: dict, *, max_workers: "int | None" = None) -> "OMG":
+    def from_snapshot(cls, snapshot: dict) -> "OMG":
         """Rebuild a runtime entirely from a snapshot payload.
 
         Requires the payload to embed a declarative suite (snapshots of
@@ -563,7 +557,7 @@ class OMG:
                 "snapshot embeds no assertion suite; rebuild the runtime "
                 "the way it was built, then call restore()"
             )
-        omg = cls(window_size=int(snapshot["window_size"]), max_workers=max_workers)
+        omg = cls(window_size=int(snapshot["window_size"]))
         omg.restore(snapshot)
         return omg
 

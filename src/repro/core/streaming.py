@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import abc
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -503,12 +502,10 @@ class StreamingEngine:
         self,
         database,
         window_size: int,
-        max_workers: "int | None" = None,
         recent: "deque | None" = None,
     ) -> None:
         self.database = database
         self.window_size = window_size
-        self.max_workers = max_workers
         self._evaluators: dict = {}
         #: assertion name → {item_index: severity} (sparse, nonzero only).
         self._log: dict = {}
@@ -517,7 +514,6 @@ class StreamingEngine:
         #: owning runtime (OMG hands in its history deque).
         self._recent: deque = recent if recent is not None else deque(maxlen=window_size)
         self._n_items = 0
-        self._executor: "ThreadPoolExecutor | None" = None
         #: Restored evaluator states whose assertions were not enabled at
         #: restore time; claimed (without a log reset or warm-up) when the
         #: assertion is re-enabled, so a disable → snapshot → restore →
@@ -614,32 +610,20 @@ class StreamingEngine:
             self._merge(evaluator.assertion.name, evaluator.update(item), records)
         return records
 
-    def ingest_batch(self, items: list, *, parallel: bool = False) -> list:
+    def ingest_batch(self, items: list) -> list:
         """Consume a chunk of items; return fresh fire records.
 
-        With ``parallel=True`` each assertion's evaluator consumes the
-        chunk on a thread-pool worker — evaluators share no state, so
-        independent assertions stream concurrently. The merge is
-        serialized per (item, assertion) in registration order, so the
-        records and the severity log are identical to the serial path.
+        Each assertion's evaluator consumes the whole chunk in one
+        ``update_batch`` call; the merge then runs per (item, assertion)
+        in registration order, so the records and the severity log are
+        identical to feeding the items one by one through :meth:`ingest`.
         """
         if not items:
             return []
         evaluators = self._sync()
         self._recent.extend(items)
         self._n_items = max(self._n_items, items[-1].index + 1)
-        if parallel and len(evaluators) > 1:
-            if self._executor is None:
-                # Reused across chunks; idle workers are joined at
-                # interpreter exit, so no explicit shutdown is needed.
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="omg-streaming"
-                )
-            per_evaluator = list(
-                self._executor.map(lambda ev: ev.update_batch(items), evaluators)
-            )
-        else:
-            per_evaluator = [ev.update_batch(items) for ev in evaluators]
+        per_evaluator = [ev.update_batch(items) for ev in evaluators]
         records: list = []
         for item_pos in range(len(items)):
             for evaluator, changes in zip(evaluators, per_evaluator):

@@ -116,8 +116,6 @@ class AVPipeline:
         samples: list,
         camera_dets: list,
         lidar_dets: list,
-        *,
-        parallel: bool = False,
     ) -> MonitoringReport:
         """Ingest a chunk of fused samples; returns the chunk's report.
 
@@ -134,7 +132,6 @@ class AVPipeline:
             None,
             outputs,
             timestamps=[sample.timestamp for sample in samples],
-            parallel=parallel,
         )
 
     def run_models(

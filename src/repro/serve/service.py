@@ -9,9 +9,8 @@ layer on top of the :mod:`repro.domains.registry` contract:
   key (its own runtime, its own per-stream adapter state), created on
   first use;
 - ``service.ingest(stream_id, raw)`` / ``service.ingest_batch(pairs)`` —
-  raw domain units in, fresh fire records out, with the batch form
-  fanning independent streams across a thread pool (results are
-  bit-identical to the serial path);
+  raw domain units in, fresh fire records out; the batch form ingests
+  stream by stream, in order, and dispatches fires in pair order;
 - LRU capacity bounds and TTL idle expiry with an ``on_evict`` hook;
 - per-stream and fleet-aggregate :class:`MonitoringReport` s;
 - ``on_fire`` routing that tags every record with its stream id;
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -128,11 +126,6 @@ class ServiceConfig:
         = never. Expired sessions are purged (``on_evict`` hooks firing)
         on the next service access — ``session``/``ingest``/``report``/
         ``fleet_report``/``snapshot``.
-    parallel:
-        Default for :meth:`MonitorService.ingest_batch`'s thread fan-out.
-    max_workers:
-        Thread-pool width for the batch fan-out; ``None`` lets the
-        executor pick.
     snapshot_on_evict:
         When True, :meth:`MonitorService.evict` captures the session's
         restorable snapshot *before* ``on_evict`` hooks fire and exposes
@@ -145,8 +138,6 @@ class ServiceConfig:
 
     max_sessions: "int | None" = None
     session_ttl: "float | None" = None
-    parallel: bool = True
-    max_workers: "int | None" = None
     snapshot_on_evict: bool = False
 
     def __post_init__(self) -> None:
@@ -429,7 +420,6 @@ class MonitorService:
         self._sessions: "OrderedDict[str, StreamSession]" = OrderedDict()
         self._fire_actions: list = []
         self._evict_actions: list = []
-        self._executor: "ThreadPoolExecutor | None" = None
 
     @property
     def suite(self) -> "AssertionSuite | None":
@@ -626,10 +616,9 @@ class MonitorService:
         return action
 
     def _dispatch(self, fires: list) -> None:
-        # Always runs on the caller's thread (batch workers only collect;
-        # fires dispatch after the pool joins), so callbacks may safely
-        # re-enter the service — e.g. a corrective action that ingests a
-        # derived event into another stream.
+        # Runs only after a batch's sessions have all been fed, so
+        # callbacks may safely re-enter the service — e.g. a corrective
+        # action that ingests a derived event into another stream.
         for fire in fires:
             for action in self._fire_actions:
                 action(fire)
@@ -644,15 +633,12 @@ class MonitorService:
         self._dispatch(fires)
         return fires
 
-    def ingest_batch(
-        self, pairs: list, *, parallel: "bool | None" = None
-    ) -> list:
+    def ingest_batch(self, pairs: list) -> list:
         """Feed many ``(stream_id, raw)`` pairs; returns fires in pair order.
 
         Pairs are grouped by stream (preserving each stream's arrival
-        order); with ``parallel`` (default: the service config) the
-        groups fan out over a shared thread pool — sessions are
-        independent, so results are bit-identical to serial ingestion.
+        order) and each group is ingested in turn — sessions are
+        independent, so every stream's fires equal a solo run's.
         ``on_fire`` hooks run after the whole batch, in pair order.
 
         When stream groups fail, a :class:`BatchIngestError` names every
@@ -660,14 +646,12 @@ class MonitorService:
         exception; the failed sessions are broken (fail-stop), sibling
         streams' fires were already dispatched.
         """
-        by_position, errors, _positions, fires = self._run_batch(pairs, parallel)
+        by_position, errors, _positions, fires = self._run_batch(pairs)
         if errors:
             raise BatchIngestError(errors)
         return fires
 
-    def ingest_batch_outcomes(
-        self, pairs: list, *, parallel: "bool | None" = None
-    ) -> list:
+    def ingest_batch_outcomes(self, pairs: list) -> list:
         """Like :meth:`ingest_batch`, but never raises for per-stream
         failures: returns one :class:`PairOutcome` per pair, in order.
 
@@ -678,9 +662,7 @@ class MonitorService:
         broken). Fires dispatch exactly as in :meth:`ingest_batch`.
         """
         pairs = list(pairs)
-        by_position, errors, failed_positions, _fires = self._run_batch(
-            pairs, parallel
-        )
+        by_position, errors, failed_positions, _fires = self._run_batch(pairs)
         outcomes = []
         for position, (stream_id, _raw) in enumerate(pairs):
             if position in by_position:
@@ -703,8 +685,8 @@ class MonitorService:
                 )
         return outcomes
 
-    def _run_batch(self, pairs: list, parallel: "bool | None") -> tuple:
-        """Shared batch core: group, fan out, dispatch fires.
+    def _run_batch(self, pairs: list) -> tuple:
+        """Shared batch core: group by stream, ingest, dispatch fires.
 
         Returns ``(by_position, errors, failed_positions, fires)`` where
         ``errors`` maps every failed stream id to its exception (group
@@ -712,8 +694,6 @@ class MonitorService:
         actually raised (later positions of that stream were skipped).
         """
         pairs = list(pairs)
-        if parallel is None:
-            parallel = self.config.parallel
         groups: "OrderedDict[str, list]" = OrderedDict()
         for position, (stream_id, raw) in enumerate(pairs):
             groups.setdefault(stream_id, []).append((position, raw))
@@ -724,11 +704,10 @@ class MonitorService:
                 f"max_sessions={limit}; the LRU bound would evict sessions "
                 "mid-batch"
             )
-        # Create/touch serially (the LRU map is not thread-safe), then
-        # fan out: each worker owns exactly one session. Existing batch
-        # members are touched *before* any new session is created, so a
-        # creation-triggered LRU eviction can only hit non-members — a
-        # batch within the size guard never evicts its own sessions.
+        # Existing batch members are touched *before* any new session is
+        # created, so a creation-triggered LRU eviction can only hit
+        # non-members — a batch within the size guard never evicts its
+        # own sessions.
         sessions = {
             stream_id: self.session(stream_id)
             for stream_id in groups
@@ -738,40 +717,20 @@ class MonitorService:
             if stream_id not in sessions:
                 sessions[stream_id] = self.session(stream_id)
 
-        def run_group(stream_id: str) -> tuple:
-            # Errors are captured, not raised, so one malformed unit on
-            # one stream cannot suppress the corrective-action dispatch
-            # for sibling streams whose units were already observed.
-            done: list = []
-            try:
-                for position, raw in groups[stream_id]:
-                    done.append((position, sessions[stream_id].ingest(raw)))
-            except Exception as exc:  # re-raised below, after dispatch
-                return done, exc
-            return done, None
-
-        if parallel and len(groups) > 1:
-            if self._executor is None:
-                # Reused across batches; idle workers are joined at
-                # interpreter exit, so no explicit shutdown is needed.
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.config.max_workers,
-                    thread_name_prefix="monitor-service",
-                )
-            per_group = list(self._executor.map(run_group, groups))
-        else:
-            per_group = [run_group(stream_id) for stream_id in groups]
-
         by_position: dict = {}
         errors: "OrderedDict[str, Exception]" = OrderedDict()
         failed_positions: dict = {}
-        for stream_id, (done, error) in zip(groups, per_group):
-            for position, records in done:
-                by_position[position] = records
-            if error is not None:
-                errors[stream_id] = error
-                # The group entry after the last completed one raised.
-                failed_positions[stream_id] = groups[stream_id][len(done)][0]
+        for stream_id, group in groups.items():
+            # Errors are captured, not raised, so one malformed unit on
+            # one stream cannot suppress the corrective-action dispatch
+            # for sibling streams whose units were already observed.
+            for position, raw in group:
+                try:
+                    by_position[position] = sessions[stream_id].ingest(raw)
+                except Exception as exc:  # surfaced by the caller
+                    errors[stream_id] = exc
+                    failed_positions[stream_id] = position
+                    break
         fires = [
             StreamFire(stream_id, record)
             for position, (stream_id, _raw) in enumerate(pairs)

@@ -2,7 +2,7 @@
 
 The refactor-safety invariant of the incremental streaming engine
 (:mod:`repro.core.streaming`): for any stream, feeding the items through
-``OMG.observe`` (or ``observe_batch``, serial or thread-pooled) and then
+``OMG.observe`` (or ``observe_batch``) and then
 reading :meth:`OMG.online_report` must reproduce the offline
 :meth:`OMG.monitor` severity matrix *bit-for-bit* — for all four
 assertion families the paper's runtime supports:
@@ -102,7 +102,7 @@ def feed_observe(items) -> OMG:
     return omg
 
 
-def feed_observe_batch(items, seed: int, *, parallel: bool = False) -> OMG:
+def feed_observe_batch(items, seed: int) -> OMG:
     """Feed in random-size chunks (1–8 items) via ``observe_batch``."""
     omg = OMG(build_database(), window_size=4096)
     rng = np.random.default_rng(seed + 10_000)
@@ -113,7 +113,6 @@ def feed_observe_batch(items, seed: int, *, parallel: bool = False) -> OMG:
             None,
             [list(item.outputs) for item in chunk],
             timestamps=[item.timestamp for item in chunk],
-            parallel=parallel,
         )
         pos += len(chunk)
     return omg
@@ -134,20 +133,6 @@ class TestOnlineOfflineEquivalence:
         offline = offline_report(items)
         online = feed_observe_batch(items, seed).online_report()
         np.testing.assert_array_equal(online.severities, offline.severities)
-
-    @pytest.mark.parametrize("seed", SEEDS[:6])
-    def test_parallel_batch_matches_serial(self, seed):
-        """Thread-pooled batches are bit-identical to the serial path."""
-        items = random_stream(seed)
-        serial = feed_observe_batch(items, seed)
-        threaded = feed_observe_batch(items, seed, parallel=True)
-        np.testing.assert_array_equal(
-            threaded.online_report().severities, serial.online_report().severities
-        )
-        key = lambda r: (r.item_index, r.assertion_name, r.severity)
-        assert sorted(map(key, threaded.online_records)) == sorted(
-            map(key, serial.online_records)
-        )
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_single_and_batch_records_identical(self, seed):

@@ -91,7 +91,7 @@ class TestIsolationAndDeterminism:
         interleaved = MonitorService(SyntheticDomain())
         for round_index in range(n_raw):
             interleaved.ingest_batch(
-                [(sid, units[sid][round_index]) for sid in units], parallel=True
+                [(sid, units[sid][round_index]) for sid in units]
             )
 
         for sid, raws in units.items():
@@ -99,18 +99,6 @@ class TestIsolationAndDeterminism:
             for raw in raws:
                 solo.ingest(sid, raw)
             assert_reports_equal(interleaved.report(sid), solo.report(sid))
-
-    def test_parallel_and_serial_batches_are_bit_identical(self):
-        units = {f"s{k}": raw_units(10 + k, 20) for k in range(4)}
-        serial = MonitorService(SyntheticDomain())
-        threaded = MonitorService(SyntheticDomain())
-        for i in range(20):
-            pairs = [(sid, units[sid][i]) for sid in units]
-            fires_serial = serial.ingest_batch(pairs, parallel=False)
-            fires_threaded = threaded.ingest_batch(pairs, parallel=True)
-            assert fires_serial == fires_threaded
-        for sid in units:
-            assert_reports_equal(serial.report(sid), threaded.report(sid))
 
     def test_online_report_matches_offline_monitor(self):
         from repro.core.types import StreamItem
@@ -172,9 +160,7 @@ class TestFireRouting:
         service.on_fire(dispatched.append)
         crowded = [{"id": 0, "color": "red"}] * 4  # trips "crowded"
         with pytest.raises(RuntimeError, match="malformed"):
-            service.ingest_batch(
-                [("good", crowded), ("bad", "boom")], parallel=False
-            )
+            service.ingest_batch([("good", crowded), ("bad", "boom")])
         # the good stream's fires were dispatched despite the sibling error
         assert any(f.stream_id == "good" for f in dispatched)
         assert service.report("good").n_items == 1
@@ -427,8 +413,7 @@ class TestBatchErrorAggregation:
         crowded = [{"id": 0, "color": "red"}] * 4
         with pytest.raises(BatchIngestError) as excinfo:
             service.ingest_batch(
-                [("good", crowded), ("bad1", "boom1"), ("bad2", "boom2")],
-                parallel=False,
+                [("good", crowded), ("bad1", "boom1"), ("bad2", "boom2")]
             )
         err = excinfo.value
         assert list(err.failures) == ["bad1", "bad2"]
@@ -445,8 +430,7 @@ class TestBatchErrorAggregation:
         service = MonitorService(self.TwoBombsDomain())
         crowded = [{"id": 0, "color": "red"}] * 4
         outcomes = service.ingest_batch_outcomes(
-            [("good", crowded), ("bad", "boom"), ("bad", crowded)],
-            parallel=False,
+            [("good", crowded), ("bad", "boom"), ("bad", crowded)]
         )
         assert [o.stream_id for o in outcomes] == ["good", "bad", "bad"]
         assert outcomes[0].ok and outcomes[0].fires
